@@ -8,6 +8,7 @@
 //! trace codec: equal reports encode to byte-identical documents.
 
 use simsym_graph::{ProcId, VarId};
+use simsym_vm::json;
 use std::fmt;
 
 /// Stable diagnostic codes, one per checker finding class. The full table
@@ -388,13 +389,13 @@ impl Diagnostic {
             out.push_str(&s.to_string());
         }
         out.push_str("},\"message\":");
-        push_json_string(&mut out, &self.message);
+        json::push_string(&mut out, &self.message);
         out.push_str(",\"witness\":[");
         for (i, w) in self.witness.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            push_json_string(&mut out, w);
+            json::push_string(&mut out, w);
         }
         out.push_str("]}");
         out
@@ -455,7 +456,7 @@ impl CheckReport {
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(64 + self.diagnostics.len() * 96);
         out.push_str("{\"version\":1,\"system\":");
-        push_json_string(&mut out, &self.system);
+        json::push_string(&mut out, &self.system);
         out.push_str(",\"errors\":");
         out.push_str(&self.count(Severity::Error).to_string());
         out.push_str(",\"warnings\":");
@@ -493,25 +494,6 @@ impl CheckReport {
         }
         out
     }
-}
-
-/// JSON string escaper, identical in behavior to the engine's trace codec.
-pub(crate) fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]

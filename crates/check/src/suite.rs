@@ -1,12 +1,13 @@
 //! Bundling the dynamic checkers: one-call runs and deterministic sweeps.
 
-use crate::diag::{push_json_string, sort_diagnostics, Diagnostic, Severity};
+use crate::diag::{sort_diagnostics, Diagnostic, Severity};
 use crate::discipline::DisciplineChecker;
 use crate::isa_check::IsaChecker;
 use crate::lock_order::{LockOrderChecker, LockOrderGraph};
 use crate::lockset::LocksetChecker;
 use simsym_vm::engine::sweep::{sweep_jobs, SweepConfig};
 use simsym_vm::engine::{self, stop, Probe, System};
+use simsym_vm::json;
 use simsym_vm::{InstructionSet, Machine, Scheduler};
 use std::collections::BTreeMap;
 
@@ -135,14 +136,14 @@ impl SweepLintReport {
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(128 + self.runs.len() * 64);
         out.push_str("{\"version\":1,\"system\":");
-        push_json_string(&mut out, &self.system);
+        json::push_string(&mut out, &self.system);
         out.push_str(",\"runs\":[");
         for (i, run) in self.runs.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             out.push_str("{\"scheduler\":");
-            push_json_string(&mut out, &run.scheduler);
+            json::push_string(&mut out, &run.scheduler);
             out.push_str(",\"seed\":");
             out.push_str(&run.seed.to_string());
             out.push_str(",\"steps\":");
@@ -161,7 +162,7 @@ impl SweepLintReport {
             if i > 0 {
                 out.push(',');
             }
-            push_json_string(&mut out, code);
+            json::push_string(&mut out, code);
             out.push(':');
             out.push_str(&count.to_string());
         }

@@ -9,7 +9,6 @@
 //! * a **similarity labeling** is both — it is the partition into
 //!   similarity classes, unique up to renaming of labels.
 
-use serde::{Deserialize, Serialize};
 use simsym_graph::{NameId, Node, ProcId, SystemGraph, VarId};
 use std::collections::BTreeMap;
 use std::error::Error;
@@ -24,7 +23,7 @@ pub type Label = u32;
 /// Labelings produced by this crate are **canonical**: labels are dense
 /// `0..class_count` and numbered by first occurrence, so two equal
 /// partitions compare equal as `Labeling` values.
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Labeling {
     proc_count: usize,
     labels: Vec<Label>,

@@ -1,6 +1,5 @@
 //! The computation models whose similarity structure the paper compares.
 
-use serde::{Deserialize, Serialize};
 use simsym_vm::InstructionSet;
 use std::fmt;
 
@@ -23,7 +22,7 @@ use std::fmt;
 ///   to the same variable (they race for its lock).
 /// * **L\*** (extended locking) distinguishes *any* two processors sharing
 ///   a variable, under any pair of names (§6).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Model {
     /// Instruction set S under fair (but not bounded-fair) schedules.
     FairS,

@@ -4,7 +4,6 @@
 //! or shared variables (`V`). Newtypes keep the two index spaces apart at
 //! compile time ([C-NEWTYPE]).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a processor node.
@@ -17,7 +16,7 @@ use std::fmt;
 /// let p = ProcId::new(3);
 /// assert_eq!(p.index(), 3);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProcId(u32);
 
 impl ProcId {
@@ -54,7 +53,7 @@ impl fmt::Display for ProcId {
 /// let v = VarId::new(0);
 /// assert_eq!(v.index(), 0);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VarId(u32);
 
 impl VarId {
@@ -87,7 +86,7 @@ impl fmt::Display for VarId {
 /// algorithms frequently need a single index space covering processors and
 /// variables; [`Node::linear_index`] provides it (processors first, then
 /// variables).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Node {
     /// A processor node.
     Proc(ProcId),

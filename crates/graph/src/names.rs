@@ -6,14 +6,13 @@
 //! Names are interned into dense [`NameId`]s so per-processor neighbor
 //! tables can be plain vectors.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// Identifier of an interned edge name.
 ///
 /// `NameId`s are dense indices `0..name_count()` in interning order.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NameId(u32);
 
 impl NameId {
@@ -46,10 +45,9 @@ impl fmt::Debug for NameId {
 /// assert_eq!(t.resolve(left), "left");
 /// assert_eq!(t.len(), 2);
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct NameTable {
     names: Vec<String>,
-    #[serde(skip)]
     lookup: HashMap<String, NameId>,
 }
 
@@ -74,16 +72,11 @@ impl NameTable {
     /// Looks up an already-interned name.
     pub fn get(&self, name: &str) -> Option<NameId> {
         // Small tables (every built-in system has ≤ a handful of names)
-        // resolve faster by scanning than by hashing the key; the scan is
-        // also the fallback when the serde-skipped lookup map is empty
-        // after deserialization.
+        // resolve faster by scanning than by hashing the key.
         if self.names.len() <= 8 {
             return self.names.iter().position(|n| n == name).map(NameId::new);
         }
-        if let Some(&id) = self.lookup.get(name) {
-            return Some(id);
-        }
-        self.names.iter().position(|n| n == name).map(NameId::new)
+        self.lookup.get(name).copied()
     }
 
     /// The string for a name id.
@@ -116,16 +109,6 @@ impl NameTable {
             .iter()
             .enumerate()
             .map(|(i, s)| (NameId::new(i), s.as_str()))
-    }
-
-    /// Rebuilds the internal lookup map (used after deserialization).
-    pub fn rebuild_lookup(&mut self) {
-        self.lookup = self
-            .names
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.clone(), NameId::new(i)))
-            .collect();
     }
 }
 
@@ -187,19 +170,5 @@ mod tests {
         t.intern("q");
         let pairs: Vec<_> = t.iter().map(|(i, s)| (i.index(), s.to_owned())).collect();
         assert_eq!(pairs, vec![(0, "p".to_owned()), (1, "q".to_owned())]);
-    }
-
-    #[test]
-    fn rebuild_lookup_restores_get() {
-        let mut t = NameTable::new();
-        t.intern("left");
-        // Simulate a deserialized table with an empty lookup map.
-        let mut copy = NameTable {
-            names: t.names.clone(),
-            lookup: HashMap::new(),
-        };
-        assert_eq!(copy.get("left"), Some(NameId::new(0)));
-        copy.rebuild_lookup();
-        assert_eq!(copy.get("left"), Some(NameId::new(0)));
     }
 }

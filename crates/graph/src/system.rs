@@ -1,7 +1,6 @@
 //! The validated system graph `N` and its builder.
 
 use crate::{GraphError, NameId, NameTable, Node, ProcId, VarId};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -38,7 +37,7 @@ use std::fmt;
 /// assert_eq!(g.variable_degree(u), 2);
 /// # Ok::<(), simsym_graph::GraphError>(())
 /// ```
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct SystemGraph {
     names: NameTable,
     /// Number of processors — kept explicitly because `proc_flat` is empty
@@ -758,23 +757,6 @@ mod tests {
         let s = format!("{:?}", two_ring());
         assert!(s.contains("SystemGraph"));
         assert!(s.contains("processors"));
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let g = two_ring();
-        let json = serde_json_like(&g);
-        assert!(json.contains("left"));
-    }
-
-    // serde_json is not a dependency; smoke-test Serialize via the
-    // self-describing debug of the serialized token stream using serde's
-    // derive through a tiny in-house serializer is overkill. Instead check
-    // that the Serialize impl exists and is object-safe to call via
-    // `serde::Serialize` bound.
-    fn serde_json_like<T: serde::Serialize>(_t: &T) -> String {
-        // Compile-time check only; runtime content asserted via names table.
-        "left".to_owned()
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Directed message-passing networks.
 
-use serde::{Deserialize, Serialize};
 use simsym_graph::ProcId;
 use std::error::Error;
 use std::fmt;
@@ -9,7 +8,7 @@ use std::fmt;
 /// channels. Each processor's channels are *ports*, ordered by insertion —
 /// the message-passing counterpart of the named edges of the
 /// shared-variable model (§6 analyzes message passing through that lens).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MpNetwork {
     procs: usize,
     /// Channels as `(sender, receiver)` pairs, insertion-ordered.

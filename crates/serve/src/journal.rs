@@ -40,7 +40,7 @@
 //! error instead of guessing (and never panics — pinned by the
 //! truncation property test).
 
-use crate::spec::{self, SpecValue};
+use crate::spec::{self, Fields, SpecValue};
 use std::collections::HashMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -128,14 +128,8 @@ fn corrupt(detail: impl std::fmt::Display) -> String {
     format!("SERVE-JOURNAL-CORRUPT: {detail}")
 }
 
-/// Pulls a required field out of a parsed record, consuming it.
-fn take(pairs: &mut Vec<(String, SpecValue)>, key: &str) -> Option<SpecValue> {
-    let i = pairs.iter().position(|(k, _)| k == key)?;
-    Some(pairs.remove(i).1)
-}
-
-fn take_u64(pairs: &mut Vec<(String, SpecValue)>, key: &str, line: usize) -> Result<u64, String> {
-    match take(pairs, key) {
+fn take_u64(pairs: &mut Fields, key: &str, line: usize) -> Result<u64, String> {
+    match pairs.take(key) {
         Some(SpecValue::Int(n)) if n >= 0 => Ok(n as u64),
         other => Err(corrupt(format!(
             "line {line}: field {key:?} must be a non-negative integer, got {other:?}"
@@ -143,12 +137,8 @@ fn take_u64(pairs: &mut Vec<(String, SpecValue)>, key: &str, line: usize) -> Res
     }
 }
 
-fn take_str(
-    pairs: &mut Vec<(String, SpecValue)>,
-    key: &str,
-    line: usize,
-) -> Result<String, String> {
-    match take(pairs, key) {
+fn take_str(pairs: &mut Fields, key: &str, line: usize) -> Result<String, String> {
+    match pairs.take(key) {
         Some(SpecValue::Str(s)) => Ok(s),
         other => Err(corrupt(format!(
             "line {line}: field {key:?} must be a string, got {other:?}"
@@ -185,8 +175,9 @@ pub fn replay(bytes: &[u8]) -> Result<Replay, String> {
         let Ok(line) = std::str::from_utf8(line_bytes) else {
             return Err(corrupt(format!("line {line_no}: not UTF-8")));
         };
-        let mut pairs =
-            spec::parse_flat_object(line).map_err(|e| corrupt(format!("line {line_no}: {e}")))?;
+        let mut pairs = Fields(
+            spec::parse_flat_object(line).map_err(|e| corrupt(format!("line {line_no}: {e}")))?,
+        );
         if line_no == 1 {
             let schema = take_str(&mut pairs, "schema", line_no)?;
             if schema != JOURNAL_SCHEMA {
@@ -194,7 +185,7 @@ pub fn replay(bytes: &[u8]) -> Result<Replay, String> {
                     "line 1: schema {schema:?}, expected {JOURNAL_SCHEMA:?}"
                 )));
             }
-            if let Some((k, _)) = pairs.first() {
+            if let Some((k, _)) = pairs.0.first() {
                 return Err(corrupt(format!("line 1: unexpected field {k:?}")));
             }
             valid_len += line_len;
@@ -280,7 +271,7 @@ pub fn replay(bytes: &[u8]) -> Result<Replay, String> {
             }
             other => return Err(corrupt(format!("line {line_no}: unknown event {other:?}"))),
         }
-        if let Some((k, _)) = pairs.first() {
+        if let Some((k, _)) = pairs.0.first() {
             return Err(corrupt(format!("line {line_no}: unexpected field {k:?}")));
         }
         valid_len += line_len;
@@ -404,14 +395,14 @@ impl JobJournal {
 /// Journal record constructors, kept next to the parser so the two
 /// cannot drift.
 pub mod record {
-    use crate::spec::push_json_string;
+    use simsym_vm::json;
 
     /// A `submit` record: the job is acknowledged once this is durable.
     pub fn submit(id: u64, fingerprint: u64, spec_text: &str) -> String {
         let mut out = format!(
             "{{\"event\": \"submit\", \"job\": {id}, \"fingerprint\": \"{fingerprint:016x}\", \"spec\": "
         );
-        push_json_string(&mut out, spec_text);
+        json::push_string(&mut out, spec_text);
         out.push('}');
         out
     }

@@ -50,6 +50,7 @@
 
 use simsym_check::diag::codes;
 use simsym_vm::engine::sweep::{self, StopSignal};
+use simsym_vm::json;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -626,7 +627,7 @@ impl Farm {
                             format!(
                                 "{{\"schema\": \"simsym-serve/v1\", \"job\": {id}, \"event\": \"retrying\", \"code\": \"{}\", \"panic\": {}}}",
                                 codes::SERVE_JOB_PANIC,
-                                json_string(&message)
+                                json::quoted(&message)
                             ),
                         );
                         st.summary.retried += 1;
@@ -666,7 +667,7 @@ impl Farm {
                         Err(e) => JobOutput {
                             document: format!(
                                 "{{\"schema\": \"simsym-serve/v1\", \"error\": {}}}\n",
-                                json_string(&e)
+                                json::quoted(&e)
                             ),
                             failed: true,
                         },
@@ -755,26 +756,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 fn error_body(code: &str, message: &str) -> String {
     format!(
         "{{\"schema\": \"simsym-serve/v1\", \"code\": \"{code}\", \"error\": {}}}\n",
-        json_string(message)
+        json::quoted(message)
     )
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// The farm server: bind, then [`Server::run`] until a client posts

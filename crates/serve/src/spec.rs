@@ -17,6 +17,8 @@
 //! flag ranges) is left to the runner, exactly as the shell leaves it to
 //! the CLI.
 
+use simsym_vm::json;
+
 /// A scalar value in a job spec.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SpecValue {
@@ -43,165 +45,39 @@ impl SpecValue {
 /// are errors — a job spec has no use for any of them, and rejecting
 /// them keeps the argv mapping (and therefore the cache key) total.
 pub fn parse_flat_object(text: &str) -> Result<Vec<(String, SpecValue)>, String> {
-    let mut p = Parser {
-        chars: text.char_indices().peekable(),
-        text,
+    let json::Value::Object(fields) = json::parse(text)? else {
+        return Err("a job spec is a JSON object".to_owned());
     };
-    p.skip_ws();
-    p.expect('{')?;
-    let mut pairs: Vec<(String, SpecValue)> = Vec::new();
-    p.skip_ws();
-    if p.eat('}') {
-        p.skip_ws();
-        return p.finish(pairs);
-    }
-    loop {
-        p.skip_ws();
-        let key = p.string()?;
+    let mut pairs: Vec<(String, SpecValue)> = Vec::with_capacity(fields.len());
+    for (key, value) in fields {
         if pairs.iter().any(|(k, _)| *k == key) {
             return Err(format!("duplicate key {key:?}"));
         }
-        p.skip_ws();
-        p.expect(':')?;
-        p.skip_ws();
-        let value = p.value()?;
+        let value = match value {
+            json::Value::Str(s) => SpecValue::Str(s),
+            json::Value::Bool(b) => SpecValue::Bool(b),
+            json::Value::Int(n) => SpecValue::Int(
+                i64::try_from(n).map_err(|_| format!("{key}: integer {n} is out of range"))?,
+            ),
+            json::Value::Null => return Err(format!("{key}: null is not a job-spec value")),
+            json::Value::Array(_) | json::Value::Object(_) => {
+                return Err(format!(
+                    "{key}: nested containers are not allowed in a job spec"
+                ))
+            }
+        };
         pairs.push((key, value));
-        p.skip_ws();
-        if p.eat(',') {
-            continue;
-        }
-        p.expect('}')?;
-        p.skip_ws();
-        return p.finish(pairs);
     }
+    Ok(pairs)
 }
 
-struct Parser<'a> {
-    chars: std::iter::Peekable<std::str::CharIndices<'a>>,
-    text: &'a str,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self.chars.next_if(|&(_, c)| c.is_whitespace()).is_some() {}
-    }
-
-    fn eat(&mut self, want: char) -> bool {
-        self.chars.next_if(|&(_, c)| c == want).is_some()
-    }
-
-    fn expect(&mut self, want: char) -> Result<(), String> {
-        match self.chars.next() {
-            Some((_, c)) if c == want => Ok(()),
-            Some((i, c)) => Err(format!("expected {want:?} at byte {i}, found {c:?}")),
-            None => Err(format!("expected {want:?}, found end of input")),
-        }
-    }
-
-    fn finish<T>(&mut self, out: T) -> Result<T, String> {
-        match self.chars.next() {
-            None => Ok(out),
-            Some((i, c)) => Err(format!("trailing {c:?} at byte {i} after the object")),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect('"')?;
-        let mut out = String::new();
-        loop {
-            match self.chars.next() {
-                Some((_, '"')) => return Ok(out),
-                Some((i, '\\')) => match self.chars.next() {
-                    Some((_, '"')) => out.push('"'),
-                    Some((_, '\\')) => out.push('\\'),
-                    Some((_, '/')) => out.push('/'),
-                    Some((_, 'n')) => out.push('\n'),
-                    Some((_, 't')) => out.push('\t'),
-                    Some((_, 'r')) => out.push('\r'),
-                    Some((_, 'u')) => out.push(self.unicode_escape(i)?),
-                    other => {
-                        return Err(format!(
-                            "unsupported escape at byte {i}: \\{}",
-                            other.map_or_else(|| "<eof>".to_owned(), |(_, c)| c.to_string())
-                        ))
-                    }
-                },
-                Some((_, c)) => out.push(c),
-                None => return Err("unterminated string".to_owned()),
-            }
-        }
-    }
-
-    /// Decodes a `\uXXXX` escape (after the `u`); `start` is the byte of
-    /// the backslash, for error messages. Surrogates are rejected — the
-    /// journal encoder only ever emits `\u` for C0 control characters,
-    /// and a spec author can write any BMP character literally.
-    fn unicode_escape(&mut self, start: usize) -> Result<char, String> {
-        let mut code: u32 = 0;
-        for _ in 0..4 {
-            let Some((_, c)) = self.chars.next() else {
-                return Err(format!("truncated \\u escape at byte {start}"));
-            };
-            let digit = c
-                .to_digit(16)
-                .ok_or_else(|| format!("bad hex digit {c:?} in \\u escape at byte {start}"))?;
-            code = code * 16 + digit;
-        }
-        char::from_u32(code)
-            .ok_or_else(|| format!("\\u{code:04x} at byte {start} is not a scalar value"))
-    }
-
-    fn value(&mut self) -> Result<SpecValue, String> {
-        match self.chars.peek().copied() {
-            Some((_, '"')) => self.string().map(SpecValue::Str),
-            Some((start, c)) if c == '-' || c.is_ascii_digit() => {
-                let mut end = start + c.len_utf8();
-                self.chars.next();
-                while let Some(&(i, d)) = self.chars.peek() {
-                    if d.is_ascii_digit() {
-                        end = i + d.len_utf8();
-                        self.chars.next();
-                    } else if d == '.' || d == 'e' || d == 'E' {
-                        return Err(format!("non-integer number at byte {start}"));
-                    } else {
-                        break;
-                    }
-                }
-                self.text[start..end]
-                    .parse::<i64>()
-                    .map(SpecValue::Int)
-                    .map_err(|_| format!("bad integer {:?}", &self.text[start..end]))
-            }
-            Some((start, 't' | 'f' | 'n')) => {
-                for want in ["true", "false", "null"] {
-                    if self.text[start..].starts_with(want) {
-                        for _ in 0..want.len() {
-                            self.chars.next();
-                        }
-                        return match want {
-                            "true" => Ok(SpecValue::Bool(true)),
-                            "false" => Ok(SpecValue::Bool(false)),
-                            _ => Err("null is not a job-spec value".to_owned()),
-                        };
-                    }
-                }
-                Err(format!("bad literal at byte {start}"))
-            }
-            Some((i, '{' | '[')) => Err(format!(
-                "nested containers are not allowed in a job spec (byte {i})"
-            )),
-            Some((i, c)) => Err(format!("unexpected {c:?} at byte {i}")),
-            None => Err("expected a value, found end of input".to_owned()),
-        }
-    }
-}
-
-/// A parsed spec with typed field accessors that consume fields as they
-/// are read, so [`job_argv`] can reject leftovers as unknown.
-struct Fields(Vec<(String, SpecValue)>);
+/// A parsed spec (or journal record) with typed field accessors that
+/// consume fields as they are read, so leftovers can be rejected as
+/// unknown.
+pub(crate) struct Fields(pub(crate) Vec<(String, SpecValue)>);
 
 impl Fields {
-    fn take(&mut self, key: &str) -> Option<SpecValue> {
+    pub(crate) fn take(&mut self, key: &str) -> Option<SpecValue> {
         let i = self.0.iter().position(|(k, _)| k == key)?;
         Some(self.0.remove(i).1)
     }
@@ -411,10 +287,10 @@ pub fn set_field(spec_json: &str, key: &str, value: SpecValue) -> Result<String,
         if i > 0 {
             out.push_str(", ");
         }
-        push_json_string(&mut out, k);
+        json::push_string(&mut out, k);
         out.push_str(": ");
         match v {
-            SpecValue::Str(s) => push_json_string(&mut out, s),
+            SpecValue::Str(s) => json::push_string(&mut out, s),
             SpecValue::Int(n) => out.push_str(&n.to_string()),
             SpecValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
         }
@@ -423,30 +299,10 @@ pub fn set_field(spec_json: &str, key: &str, value: SpecValue) -> Result<String,
     Ok(out)
 }
 
-/// JSON string escaper matching the dialect the parser reads back:
-/// named escapes for the common controls, `\uXXXX` for the rest of C0.
-pub(crate) fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 /// Extracts a field from a flat JSON object, for clients picking a job id
 /// or cache verdict out of a farm response without a JSON library.
 pub fn flat_field(json: &str, key: &str) -> Option<SpecValue> {
-    let mut pairs = parse_flat_object(json).ok()?;
-    let i = pairs.iter().position(|(k, _)| k == key)?;
-    Some(pairs.remove(i).1)
+    Fields(parse_flat_object(json).ok()?).take(key)
 }
 
 #[cfg(test)]
@@ -585,19 +441,11 @@ mod tests {
     }
 
     #[test]
-    fn unicode_escapes_parse_and_reserialize() {
-        let pairs = parse_flat_object("{\"a\": \"tab\\u0009end\\u00e9\"}").unwrap();
-        assert_eq!(pairs[0].1, SpecValue::Str("tab\tend\u{e9}".into()));
-        assert!(parse_flat_object("{\"a\": \"\\ud800\"}")
-            .unwrap_err()
-            .contains("not a scalar value"));
-        assert!(parse_flat_object("{\"a\": \"\\u12\"}").is_err());
-        // push_json_string escapes C0 controls so journal records stay
-        // single-line and re-parseable.
-        let mut out = String::new();
-        push_json_string(&mut out, "a\nb\u{1}c");
-        assert_eq!(out, "\"a\\nb\\u0001c\"");
-        let back = parse_flat_object(&format!("{{\"k\": {out}}}")).unwrap();
+    fn set_field_reserializes_escaped_strings() {
+        // A control character in a spec survives the re-serialization.
+        let with = set_field("{\"k\": \"a\\nb\\u0001c\"}", "n", SpecValue::Int(1)).unwrap();
+        assert_eq!(with, "{\"k\": \"a\\nb\\u0001c\", \"n\": 1}");
+        let back = parse_flat_object(&with).unwrap();
         assert_eq!(back[0].1, SpecValue::Str("a\nb\u{1}c".into()));
     }
 }

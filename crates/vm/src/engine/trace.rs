@@ -14,6 +14,7 @@
 //! variation), so equal traces encode to byte-identical documents.
 
 use crate::engine::{Probe, System, Violation};
+use crate::json;
 use crate::{OpKind, StepOp};
 use simsym_graph::ProcId;
 use std::fmt;
@@ -89,9 +90,9 @@ impl ScheduleTrace {
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(64 + self.steps.len() * 48);
         out.push_str("{\"version\":1,\"scheduler\":");
-        push_json_string(&mut out, &self.scheduler);
+        json::push_string(&mut out, &self.scheduler);
         out.push_str(",\"kind\":");
-        push_json_string(&mut out, &self.kind);
+        json::push_string(&mut out, &self.kind);
         out.push_str(",\"steps\":[");
         for (i, s) in self.steps.iter().enumerate() {
             if i > 0 {
@@ -124,49 +125,42 @@ impl ScheduleTrace {
     pub fn from_json(text: &str) -> Result<ScheduleTrace, TraceError> {
         let value = json::parse(text).map_err(TraceError::Json)?;
         let obj = value.as_object().ok_or(TraceError::Shape("root object"))?;
-        let version = json::get(obj, "version")
-            .and_then(json::Value::as_u64)
-            .ok_or(TraceError::Shape("version"))?;
+        // Typed field readers; `shape` names the field in the error.
+        type Fields = [(String, json::Value)];
+        let num = |o: &Fields, key, shape| {
+            json::get(o, key)
+                .and_then(json::Value::as_u64)
+                .ok_or(TraceError::Shape(shape))
+        };
+        let text = |o: &Fields, key, shape| {
+            json::get(o, key)
+                .and_then(json::Value::as_str)
+                .map(str::to_owned)
+                .ok_or(TraceError::Shape(shape))
+        };
+        let version = num(obj, "version", "version")?;
         if version != 1 {
             return Err(TraceError::Version(version));
         }
-        let scheduler = json::get(obj, "scheduler")
-            .and_then(json::Value::as_str)
-            .ok_or(TraceError::Shape("scheduler"))?
-            .to_owned();
-        let kind = json::get(obj, "kind")
-            .and_then(json::Value::as_str)
-            .ok_or(TraceError::Shape("kind"))?
-            .to_owned();
+        let scheduler = text(obj, "scheduler", "scheduler")?;
+        let kind = text(obj, "kind", "kind")?;
         let raw_steps = json::get(obj, "steps")
             .and_then(json::Value::as_array)
             .ok_or(TraceError::Shape("steps"))?;
         let mut steps = Vec::with_capacity(raw_steps.len());
         for raw in raw_steps {
             let s = raw.as_object().ok_or(TraceError::Shape("step object"))?;
-            let proc = json::get(s, "p")
-                .and_then(json::Value::as_u64)
-                .ok_or(TraceError::Shape("step.p"))?;
-            let op = json::get(s, "op")
-                .and_then(json::Value::as_str)
-                .and_then(OpKind::from_name)
-                .ok_or(TraceError::Shape("step.op"))?;
-            let contended = json::get(s, "contended")
-                .and_then(json::Value::as_bool)
-                .ok_or(TraceError::Shape("step.contended"))?;
-            let fingerprint = json::get(s, "fp")
-                .and_then(json::Value::as_u64)
-                .ok_or(TraceError::Shape("step.fp"))?;
             steps.push(TraceStep {
-                proc: ProcId::new(proc as usize),
-                op,
-                contended,
-                fingerprint,
+                proc: ProcId::new(num(s, "p", "step.p")? as usize),
+                op: OpKind::from_name(&text(s, "op", "step.op")?)
+                    .ok_or(TraceError::Shape("step.op"))?,
+                contended: json::get(s, "contended")
+                    .and_then(json::Value::as_bool)
+                    .ok_or(TraceError::Shape("step.contended"))?,
+                fingerprint: num(s, "fp", "step.fp")?,
             });
         }
-        let final_fingerprint = json::get(obj, "final_fp")
-            .and_then(json::Value::as_u64)
-            .ok_or(TraceError::Shape("final_fp"))?;
+        let final_fingerprint = num(obj, "final_fp", "final_fp")?;
         let selected = json::get(obj, "selected")
             .and_then(json::Value::as_array)
             .ok_or(TraceError::Shape("selected"))?
@@ -302,237 +296,6 @@ pub fn replay<S: System + ?Sized>(system: &mut S, trace: &ScheduleTrace) -> Resu
     Ok(())
 }
 
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// A minimal JSON reader — just enough for trace documents (and, within
-/// the crate, the repro artifacts of [`crate::repro`]). The workspace is
-/// built offline (see the workspace `Cargo.toml`), so no serde_json.
-pub(crate) mod json {
-    /// A parsed JSON value. Numbers are kept as `u64`: trace documents
-    /// contain only unsigned integers.
-    #[derive(Clone, Debug, PartialEq)]
-    pub enum Value {
-        Null,
-        Bool(bool),
-        Num(u64),
-        Str(String),
-        Array(Vec<Value>),
-        Object(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        pub fn as_object(&self) -> Option<&[(String, Value)]> {
-            match self {
-                Value::Object(fields) => Some(fields),
-                _ => None,
-            }
-        }
-
-        pub fn as_array(&self) -> Option<&[Value]> {
-            match self {
-                Value::Array(items) => Some(items),
-                _ => None,
-            }
-        }
-
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        pub fn as_u64(&self) -> Option<u64> {
-            match self {
-                Value::Num(n) => Some(*n),
-                _ => None,
-            }
-        }
-
-        pub fn as_bool(&self) -> Option<bool> {
-            match self {
-                Value::Bool(b) => Some(*b),
-                _ => None,
-            }
-        }
-    }
-
-    /// First value for `key` in an object's field list.
-    pub fn get<'v>(fields: &'v [(String, Value)], key: &str) -> Option<&'v Value> {
-        fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-    }
-
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing data at byte {pos}"));
-        }
-        Ok(value)
-    }
-
-    fn skip_ws(bytes: &[u8], pos: &mut usize) {
-        while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-            *pos += 1;
-        }
-    }
-
-    fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) == Some(&c) {
-            *pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", c as char, *pos))
-        }
-    }
-
-    fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b'{') => parse_object(bytes, pos),
-            Some(b'[') => parse_array(bytes, pos),
-            Some(b'"') => Ok(Value::Str(parse_string(bytes, pos)?)),
-            Some(b't') => parse_lit(bytes, pos, "true", Value::Bool(true)),
-            Some(b'f') => parse_lit(bytes, pos, "false", Value::Bool(false)),
-            Some(b'n') => parse_lit(bytes, pos, "null", Value::Null),
-            Some(c) if c.is_ascii_digit() => parse_number(bytes, pos),
-            _ => Err(format!("unexpected input at byte {}", *pos)),
-        }
-    }
-
-    fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, v: Value) -> Result<Value, String> {
-        if bytes[*pos..].starts_with(lit.as_bytes()) {
-            *pos += lit.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", *pos))
-        }
-    }
-
-    fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-        let start = *pos;
-        while *pos < bytes.len() && bytes[*pos].is_ascii_digit() {
-            *pos += 1;
-        }
-        std::str::from_utf8(&bytes[start..*pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .map(Value::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-        expect(bytes, pos, b'"')?;
-        let mut out = String::new();
-        loop {
-            match bytes.get(*pos) {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    *pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    *pos += 1;
-                    match bytes.get(*pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = bytes
-                                .get(*pos + 1..*pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or("bad \\u escape")?;
-                            out.push(char::from_u32(hex).ok_or("bad \\u codepoint")?);
-                            *pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", *pos)),
-                    }
-                    *pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input came from &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                    let c = rest.chars().next().expect("nonempty");
-                    out.push(c);
-                    *pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-        expect(bytes, pos, b'[')?;
-        let mut items = Vec::new();
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) == Some(&b']') {
-            *pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            items.push(parse_value(bytes, pos)?);
-            skip_ws(bytes, pos);
-            match bytes.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b']') => {
-                    *pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
-            }
-        }
-    }
-
-    fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
-        expect(bytes, pos, b'{')?;
-        let mut fields = Vec::new();
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) == Some(&b'}') {
-            *pos += 1;
-            return Ok(Value::Object(fields));
-        }
-        loop {
-            skip_ws(bytes, pos);
-            let key = parse_string(bytes, pos)?;
-            expect(bytes, pos, b':')?;
-            let value = parse_value(bytes, pos)?;
-            fields.push((key, value));
-            skip_ws(bytes, pos);
-            match bytes.get(*pos) {
-                Some(b',') => *pos += 1,
-                Some(b'}') => {
-                    *pos += 1;
-                    return Ok(Value::Object(fields));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -632,14 +395,6 @@ mod tests {
             ScheduleTrace::from_json("[1,2"),
             Err(TraceError::Json(_))
         ));
-    }
-
-    #[test]
-    fn string_escapes_round_trip() {
-        let mut trace = record(1, 3);
-        trace.scheduler = "odd \"label\"\nwith\tescapes\\".into();
-        let back = ScheduleTrace::from_json(&trace.to_json()).unwrap();
-        assert_eq!(back.scheduler, trace.scheduler);
     }
 
     #[test]

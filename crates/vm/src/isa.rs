@@ -1,6 +1,5 @@
 //! The three instruction sets of the paper (plus the §6 extension).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which shared-memory instructions processors may execute — the `I`
@@ -19,7 +18,7 @@ use std::fmt;
 ///   ability to lock a **list** of variables in one indivisible
 ///   instruction, which additionally distinguishes any two processors
 ///   sharing a variable (under any pair of names).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum InstructionSet {
     /// Simple read/write.
     S,

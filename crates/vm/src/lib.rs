@@ -49,6 +49,7 @@ mod explore;
 pub mod faults;
 mod isa;
 pub mod journal;
+pub mod json;
 mod machine;
 mod program;
 pub mod reduce;

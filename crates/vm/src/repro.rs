@@ -25,8 +25,8 @@
 //! document (`simsym-repro/v1`) that `simsym analyze --trace` accepts
 //! and replays to the identical verdict.
 
-use crate::engine::trace::json;
 use crate::faults::{CrashFault, FaultPlan, FaultPlanError, Recovery, RecoveryMode};
+use crate::json;
 use simsym_graph::ProcId;
 use std::fmt;
 
@@ -210,7 +210,7 @@ impl ReproArtifact {
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(128 + self.schedule.len() * 3);
         out.push_str("{\"schema\":\"simsym-repro/v1\",\"family\":");
-        push_json_string(&mut out, &self.family);
+        json::push_string(&mut out, &self.family);
         out.push_str(",\"procs\":");
         out.push_str(&self.procs.to_string());
         out.push_str(",\"seed\":");
@@ -218,7 +218,7 @@ impl ReproArtifact {
         out.push_str(",\"journal\":");
         out.push_str(if self.journal { "true" } else { "false" });
         out.push_str(",\"violation\":");
-        push_json_string(&mut out, &self.violation);
+        json::push_string(&mut out, &self.violation);
         out.push_str(",\"plan\":[");
         for (i, c) in self.plan.crashes.iter().enumerate() {
             if i > 0 {
@@ -253,58 +253,51 @@ impl ReproArtifact {
     pub fn from_json(text: &str) -> Result<ReproArtifact, ReproError> {
         let value = json::parse(text).map_err(ReproError::Json)?;
         let obj = value.as_object().ok_or(ReproError::Shape("root object"))?;
-        let schema = json::get(obj, "schema")
-            .and_then(json::Value::as_str)
-            .ok_or(ReproError::Shape("schema"))?;
+        // Typed field readers; `shape` names the field in the error.
+        type Fields = [(String, json::Value)];
+        let num = |o: &Fields, key, shape| {
+            json::get(o, key)
+                .and_then(json::Value::as_u64)
+                .ok_or(ReproError::Shape(shape))
+        };
+        let text = |o: &Fields, key, shape| {
+            json::get(o, key)
+                .and_then(json::Value::as_str)
+                .map(str::to_owned)
+                .ok_or(ReproError::Shape(shape))
+        };
+        let schema = text(obj, "schema", "schema")?;
         if schema != "simsym-repro/v1" {
-            return Err(ReproError::Schema(schema.to_owned()));
+            return Err(ReproError::Schema(schema));
         }
-        let family = json::get(obj, "family")
-            .and_then(json::Value::as_str)
-            .ok_or(ReproError::Shape("family"))?
-            .to_owned();
-        let procs = json::get(obj, "procs")
-            .and_then(json::Value::as_u64)
-            .ok_or(ReproError::Shape("procs"))? as usize;
-        let seed = json::get(obj, "seed")
-            .and_then(json::Value::as_u64)
-            .ok_or(ReproError::Shape("seed"))?;
+        let family = text(obj, "family", "family")?;
+        let procs = num(obj, "procs", "procs")? as usize;
+        let seed = num(obj, "seed", "seed")?;
         let journal = json::get(obj, "journal")
             .and_then(json::Value::as_bool)
             .ok_or(ReproError::Shape("journal"))?;
-        let violation = json::get(obj, "violation")
-            .and_then(json::Value::as_str)
-            .ok_or(ReproError::Shape("violation"))?
-            .to_owned();
+        let violation = text(obj, "violation", "violation")?;
         let raw_plan = json::get(obj, "plan")
             .and_then(json::Value::as_array)
             .ok_or(ReproError::Shape("plan"))?;
         let mut crashes = Vec::with_capacity(raw_plan.len());
         for raw in raw_plan {
             let c = raw.as_object().ok_or(ReproError::Shape("plan entry"))?;
-            let proc = json::get(c, "proc")
-                .and_then(json::Value::as_u64)
-                .ok_or(ReproError::Shape("plan.proc"))?;
-            let at_step = json::get(c, "at_step")
-                .and_then(json::Value::as_u64)
-                .ok_or(ReproError::Shape("plan.at_step"))?;
             let recovery = match json::get(c, "recovery") {
                 None | Some(json::Value::Null) => None,
                 Some(r) => {
                     let r = r.as_object().ok_or(ReproError::Shape("plan.recovery"))?;
-                    let at_step = json::get(r, "at_step")
-                        .and_then(json::Value::as_u64)
-                        .ok_or(ReproError::Shape("recovery.at_step"))?;
-                    let mode = json::get(r, "mode")
-                        .and_then(json::Value::as_str)
-                        .and_then(RecoveryMode::from_name)
+                    let mode = RecoveryMode::from_name(&text(r, "mode", "recovery.mode")?)
                         .ok_or(ReproError::Shape("recovery.mode"))?;
-                    Some(Recovery { at_step, mode })
+                    Some(Recovery {
+                        at_step: num(r, "at_step", "recovery.at_step")?,
+                        mode,
+                    })
                 }
             };
             crashes.push(CrashFault {
-                proc: ProcId::new(proc as usize),
-                at_step,
+                proc: ProcId::new(num(c, "proc", "plan.proc")? as usize),
+                at_step: num(c, "at_step", "plan.at_step")?,
                 recovery,
             });
         }
@@ -356,24 +349,6 @@ impl fmt::Display for ReproError {
 }
 
 impl std::error::Error for ReproError {}
-
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
 
 #[cfg(test)]
 mod tests {

@@ -16,7 +16,6 @@
 //! order.
 
 use crate::{Value, ValueId};
-use serde::{Deserialize, Serialize};
 use simsym_graph::{ProcId, SystemGraph};
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
@@ -115,7 +114,7 @@ static UNIT: Value = Value::Unit;
 /// A register holding [`Value::Unit`] *explicitly set* is distinct from an
 /// unset register, exactly as the old map representation distinguished a
 /// present `Unit` entry from an absent key.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LocalState {
     /// The program counter (which instruction the program will execute
     /// next). Programs are free to interpret this as a phase id.
@@ -318,7 +317,7 @@ impl fmt::Display for LocalState {
 /// never clones or sorts. Equality, ordering and hashing are defined over
 /// the resolved values in owner order, byte-identical to the previous
 /// `BTreeMap<ProcId, Value>` representation.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub enum SharedVar {
     /// A single-celled variable with a lock bit (S and L).
     Plain {
@@ -684,7 +683,7 @@ impl Hash for SharedVar {
 ///
 /// Kept separate from the graph because homogeneous families (§5) share a
 /// network but differ exactly here.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SystemInit {
     /// Initial value handed to each processor's `Program::init`.
     pub proc_values: Vec<Value>,

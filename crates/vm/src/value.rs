@@ -7,7 +7,6 @@
 //! states of different processors for equality, and canonical ordering keeps
 //! every container deterministic.
 
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::{Arc, OnceLock, RwLock};
@@ -24,7 +23,7 @@ use std::sync::{Arc, OnceLock, RwLock};
 /// let v = Value::tuple([Value::from(1), Value::set([Value::from(true)])]);
 /// assert_eq!(v.to_string(), "(1, {true})");
 /// ```
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum Value {
     /// The unit (uninitialized) value.
     #[default]
@@ -184,7 +183,7 @@ impl Value {
 ///
 /// [`SharedVar::Multi`]: crate::SharedVar::Multi
 /// [`RegId`]: crate::RegId
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ValueId(u32);
 
 struct ValueInterner {

@@ -19,6 +19,7 @@ use simsym::core::{
     decide_selection_with_init, hopcroft_similarity, markdown_report, refinement_similarity,
     selection_program_q, LabelLearner, Model,
 };
+use simsym::flags::{Arg, Flags, VALUE};
 use simsym::graph::{dot, topology, SystemGraph};
 use simsym::mp::{ChangRoberts, ChannelFaults, MpMachine, MpNetwork};
 use simsym::philo::{
@@ -26,6 +27,7 @@ use simsym::philo::{
     LockOrderPhilosopher, MealCounter,
 };
 use simsym::serve::{client as serve_client, JobOutput, JobRunner, ServeConfig, Server};
+use simsym::systems;
 use simsym::vm::engine::metrics::MetricsProbe;
 use simsym::vm::engine::sweep::{run_jobs, sweep_jobs, SweepConfig, SweepScheduler};
 use simsym::vm::engine::trace::{replay, TraceRecorder};
@@ -84,20 +86,40 @@ fn dispatch(args: &[String]) -> Result<CmdOut, String> {
     match args.first().map(String::as_str) {
         Some("list") => ok(list()),
         Some("analyze") => {
-            let (trace, rest) = extract_trace_flags(&args[1..])?;
-            if let Some(path) = trace.as_ref().and_then(|t| t.replay.clone()) {
-                if !rest.is_empty() {
+            let flags = Flags::read(
+                &args[1..],
+                &[
+                    ("--trace", Arg::Optional),
+                    ("--seed", VALUE),
+                    ("--steps", VALUE),
+                ],
+            )?;
+            let seed = flags.parse("--seed", "seed")?;
+            let steps = flags.parse("--steps", "step count")?;
+            let tuned = seed.is_some() || steps.is_some();
+            if tuned && !flags.has("--trace") {
+                return Err("--seed/--steps only make sense with --trace".into());
+            }
+            if let Some(path) = flags.value("--trace") {
+                if tuned {
+                    return Err(
+                        "--seed/--steps do not apply when replaying a repro artifact".into(),
+                    );
+                }
+                if !flags.rest().is_empty() {
                     return Err(
                         "--trace FILE replays a repro artifact; a system spec is not allowed"
                             .into(),
                     );
                 }
-                return analyze_replay(&path);
+                return analyze_replay(path);
             }
-            let (graph, init) = parse_system_args(&rest)?;
-            match trace {
-                Some(opts) => analyze_trace(&graph, &init, &opts).and_then(ok),
-                None => ok(analyze(&graph, &init)),
+            let (graph, init) = parse_system_args(flags.rest())?;
+            if flags.has("--trace") {
+                analyze_trace(&graph, &init, seed.unwrap_or(0), steps.unwrap_or(100_000))
+                    .and_then(ok)
+            } else {
+                ok(analyze(&graph, &init))
             }
         }
         Some("elect") => {
@@ -140,66 +162,35 @@ struct LintOpts {
     program: Option<String>,
 }
 
-/// Strips lint flags out of the argument list so the remainder can go
-/// through [`parse_system_args`].
 fn extract_lint_flags(args: &[String]) -> Result<(LintOpts, Vec<String>), String> {
-    let mut opts = LintOpts {
-        seed: 0,
-        steps: 5_000,
-        sweep: false,
-        json: false,
-        dot: false,
-        static_only: false,
-        program: None,
+    let f = Flags::read(
+        args,
+        &[
+            ("--seed", VALUE),
+            ("--steps", VALUE),
+            ("--sweep", Arg::Switch),
+            ("--json", Arg::Switch),
+            ("--dot", Arg::Switch),
+            ("--static", Arg::Switch),
+            ("--program", Arg::Value("a fixture name")),
+        ],
+    )?;
+    let opts = LintOpts {
+        seed: f.parse("--seed", "seed")?.unwrap_or(0),
+        steps: f.parse("--steps", "step count")?.unwrap_or(5_000),
+        sweep: f.has("--sweep"),
+        json: f.has("--json"),
+        dot: f.has("--dot"),
+        static_only: f.has("--static"),
+        program: f.value("--program").map(str::to_owned),
     };
-    let mut rest = Vec::with_capacity(args.len());
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seed" => {
-                let v = args.get(i + 1).ok_or("--seed needs a value")?;
-                opts.seed = v.parse().map_err(|_| format!("bad seed {v:?}"))?;
-                i += 2;
-            }
-            "--steps" => {
-                let v = args.get(i + 1).ok_or("--steps needs a value")?;
-                opts.steps = v.parse().map_err(|_| format!("bad step count {v:?}"))?;
-                i += 2;
-            }
-            "--sweep" => {
-                opts.sweep = true;
-                i += 1;
-            }
-            "--json" => {
-                opts.json = true;
-                i += 1;
-            }
-            "--dot" => {
-                opts.dot = true;
-                i += 1;
-            }
-            "--static" => {
-                opts.static_only = true;
-                i += 1;
-            }
-            "--program" => {
-                let v = args.get(i + 1).ok_or("--program needs a fixture name")?;
-                opts.program = Some(v.clone());
-                i += 2;
-            }
-            _ => {
-                rest.push(args[i].clone());
-                i += 1;
-            }
-        }
-    }
     if opts.dot && opts.sweep {
         return Err("--dot and --sweep are mutually exclusive".into());
     }
     if opts.static_only && (opts.dot || opts.sweep) {
         return Err("--static runs no dynamic pass; it excludes --dot and --sweep".into());
     }
-    Ok((opts, rest))
+    Ok((opts, f.rest().to_vec()))
 }
 
 /// `simsym lint`: static lints over the system, then the dynamic checker
@@ -334,76 +325,49 @@ struct VerifyOpts {
 }
 
 fn extract_verify_flags(args: &[String]) -> Result<VerifyOpts, String> {
-    let mut family = None;
-    let mut opts = VerifyOpts {
-        family: String::new(),
-        procs: None,
-        program: None,
-        reduce: Reduction::Both,
-        interference: "probe".to_owned(),
-        depth: 12,
-        states: 200_000,
-        json: false,
+    let f = Flags::read(
+        args,
+        &[
+            ("--family", VALUE),
+            ("--procs", VALUE),
+            ("--program", Arg::Value("a fixture name")),
+            ("--reduce", Arg::Value("a mode")),
+            ("--interference", Arg::Value("a mode")),
+            ("--depth", VALUE),
+            ("--states", VALUE),
+            ("--json", Arg::Switch),
+        ],
+    )?;
+    f.reject_rest("verify")?;
+    let reduce = match f.value("--reduce") {
+        None => Reduction::Both,
+        Some(v) => Reduction::parse(v).ok_or_else(|| {
+            format!(
+                "unknown reduction {v:?} (have: {})",
+                check::REDUCTION_NAMES.join(" | ")
+            )
+        })?,
     };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--family" => {
-                family = Some(args.get(i + 1).ok_or("--family needs a value")?.clone());
-                i += 2;
-            }
-            "--procs" => {
-                let v = args.get(i + 1).ok_or("--procs needs a value")?;
-                opts.procs = Some(
-                    v.parse()
-                        .map_err(|_| format!("bad processor count {v:?}"))?,
-                );
-                i += 2;
-            }
-            "--program" => {
-                let v = args.get(i + 1).ok_or("--program needs a fixture name")?;
-                opts.program = Some(v.clone());
-                i += 2;
-            }
-            "--reduce" => {
-                let v = args.get(i + 1).ok_or("--reduce needs a mode")?;
-                opts.reduce = Reduction::parse(v).ok_or_else(|| {
-                    format!(
-                        "unknown reduction {v:?} (have: {})",
-                        check::REDUCTION_NAMES.join(" | ")
-                    )
-                })?;
-                i += 2;
-            }
-            "--interference" => {
-                let v = args.get(i + 1).ok_or("--interference needs a mode")?;
-                if !check::INTERFERENCE_NAMES.contains(&v.as_str()) {
-                    return Err(format!(
-                        "unknown interference {v:?} (have: {})",
-                        check::INTERFERENCE_NAMES.join(" | ")
-                    ));
-                }
-                opts.interference = v.clone();
-                i += 2;
-            }
-            "--depth" => {
-                let v = args.get(i + 1).ok_or("--depth needs a value")?;
-                opts.depth = v.parse().map_err(|_| format!("bad depth {v:?}"))?;
-                i += 2;
-            }
-            "--states" => {
-                let v = args.get(i + 1).ok_or("--states needs a value")?;
-                opts.states = v.parse().map_err(|_| format!("bad state budget {v:?}"))?;
-                i += 2;
-            }
-            "--json" => {
-                opts.json = true;
-                i += 1;
-            }
-            other => return Err(format!("unknown verify flag {other:?}")),
-        }
+    let interference = f.value("--interference").unwrap_or("probe");
+    if !check::INTERFERENCE_NAMES.contains(&interference) {
+        return Err(format!(
+            "unknown interference {interference:?} (have: {})",
+            check::INTERFERENCE_NAMES.join(" | ")
+        ));
     }
-    opts.family = family.ok_or("verify needs --family <ring|table|alternating|hypercube>")?;
+    let opts = VerifyOpts {
+        family: f
+            .value("--family")
+            .map(str::to_owned)
+            .ok_or("verify needs --family <ring|table|alternating|hypercube>")?,
+        procs: f.parse("--procs", "processor count")?,
+        program: f.value("--program").map(str::to_owned),
+        reduce,
+        interference: interference.to_owned(),
+        depth: f.parse("--depth", "depth")?.unwrap_or(12),
+        states: f.parse("--states", "state budget")?.unwrap_or(200_000),
+        json: f.has("--json"),
+    };
     if opts.depth == 0 || opts.states == 0 {
         return Err("--depth and --states need to be positive".into());
     }
@@ -416,40 +380,58 @@ fn extract_verify_flags(args: &[String]) -> Result<VerifyOpts, String> {
     Ok(opts)
 }
 
-/// The *uniform* (unmarked) verify families: symmetric systems, so the
-/// similarity quotient has a nontrivial `Aut(N)` to divide by.
-fn verify_family(family: &str, procs: Option<usize>) -> Result<(SystemGraph, SystemInit), String> {
-    let graph = match family {
-        "ring" => topology::uniform_ring(procs.unwrap_or(4)),
-        "table" => topology::philosophers_table(procs.unwrap_or(4)),
-        "alternating" => {
-            let n = procs.unwrap_or(4);
-            if !n.is_multiple_of(2) {
-                return Err("alternating needs an even --procs".into());
-            }
-            topology::philosophers_alternating(n)
-        }
-        "hypercube" => topology::hypercube(hypercube_dim(procs.unwrap_or(8))?),
-        other => {
-            return Err(format!(
-                "unknown family {other:?} (have: ring | table | alternating | hypercube)"
-            ))
-        }
-    };
-    let init = SystemInit::uniform(&graph);
+/// The families the `--family` commands take, each with two default
+/// processor counts: verify's, for small uniform systems (symmetric, so
+/// the similarity quotient has a nontrivial `Aut(N)` to divide by), and
+/// the one faults and soak share, for marked systems.
+const COMMAND_FAMILIES: &[(&str, usize, usize)] = &[
+    ("ring", 4, 5),
+    ("table", 4, 6),
+    ("alternating", 4, 6),
+    ("hypercube", 8, 8),
+];
+
+/// `family`'s `(verify, faults and soak)` default processor counts; a
+/// family the `--family` commands do not take is an error.
+fn command_family(family: &str) -> Result<(usize, usize), String> {
+    let names: Vec<&str> = COMMAND_FAMILIES.iter().map(|f| f.0).collect();
+    COMMAND_FAMILIES
+        .iter()
+        .find(|f| f.0 == family)
+        .map(|f| (f.1, f.2))
+        .ok_or_else(|| format!("unknown family {family:?} (have: {})", names.join(" | ")))
+}
+
+/// `family` with `procs` processors, built through the family table.
+fn family_system(family: &str, procs: usize) -> Result<SystemGraph, String> {
+    command_family(family)?;
+    systems::family(family)
+        .expect("command families are table families")
+        .with_procs(procs)
+}
+
+/// `family` at `procs` processors (the faults and soak default when
+/// `None`) with p0 structurally marked, so a Q selection algorithm
+/// exists: the systems faults and soak run on.
+fn marked_family(family: &str, procs: Option<usize>) -> Result<(SystemGraph, SystemInit), String> {
+    let graph = family_system(family, procs.unwrap_or(command_family(family)?.1))?;
+    let init = SystemInit::with_marked(&graph, &[ProcId::new(0)]);
     Ok((graph, init))
 }
 
-/// Maps a hypercube `--procs` count to its dimension: the count must be a
-/// power of two between 2 and 2^26 (the same ceiling
-/// [`topology::hypercube`] enforces on the dimension).
-fn hypercube_dim(procs: usize) -> Result<usize, String> {
-    if !(2..=(1 << 26)).contains(&procs) || !procs.is_power_of_two() {
-        return Err(format!(
-            "hypercube needs a power-of-two --procs between 2 and 2^26 (got {procs})"
-        ));
+/// The program `elect` runs: the generated Q selection program when one
+/// exists, else the label learner itself.
+fn selection_or_learner(
+    graph: &SystemGraph,
+    init: &SystemInit,
+) -> Result<Arc<dyn Program>, String> {
+    if let Some(select) = selection_program_q(graph, init).map_err(|e| e.to_string())? {
+        return Ok(Arc::new(select));
     }
-    Ok(procs.trailing_zeros() as usize)
+    let theta = hopcroft_similarity(graph, init, Model::Q);
+    Ok(Arc::new(
+        LabelLearner::new(graph, init, &theta).map_err(|e| e.to_string())?,
+    ))
 }
 
 /// One verify run: the mode it explored under and what it found.
@@ -467,7 +449,9 @@ struct VerifyRow {
 /// diverged from the oracle.
 fn verify(args: &[String]) -> Result<CmdOut, String> {
     let opts = extract_verify_flags(args)?;
-    let (graph, init) = verify_family(&opts.family, opts.procs)?;
+    let (default, _) = command_family(&opts.family)?;
+    let graph = family_system(&opts.family, opts.procs.unwrap_or(default))?;
+    let init = SystemInit::uniform(&graph);
     let graph = Arc::new(graph);
 
     let (machine, program_label) = match &opts.program {
@@ -481,17 +465,7 @@ fn verify(args: &[String]) -> Result<CmdOut, String> {
             (m, name.clone())
         }
         None => {
-            // The same machinery `elect` runs: the generated Q selection
-            // program when one exists, else the label learner itself.
-            let program: Arc<dyn Program> = match selection_program_q(&graph, &init)
-                .map_err(|e| e.to_string())?
-            {
-                Some(select) => Arc::new(select),
-                None => {
-                    let theta = hopcroft_similarity(&graph, &init, Model::Q);
-                    Arc::new(LabelLearner::new(&graph, &init, &theta).map_err(|e| e.to_string())?)
-                }
-            };
+            let program = selection_or_learner(&graph, &init)?;
             let m = Machine::new(Arc::clone(&graph), InstructionSet::Q, program, &init)
                 .map_err(|e| e.to_string())?;
             (m, "learner".to_owned())
@@ -667,38 +641,8 @@ fn verify_render_text(
 
 fn list() -> String {
     let mut out = String::from("built-in systems:\n");
-    for (spec, desc) in [
-        (
-            "figure1",
-            "two processors sharing one variable by the same name (Fig. 1)",
-        ),
-        ("figure2", "the 'complicated alibis' system (Fig. 2)"),
-        (
-            "figure3",
-            "the fair-S mimicry system (Fig. 3; mark p2 to get the paper's z)",
-        ),
-        (
-            "ring:N",
-            "uniform ring of N processors with left/right forks (Fig. 4 for N=5)",
-        ),
-        ("marked-ring:N", "ring with a structurally marked processor"),
-        ("line:N", "open line of N processors"),
-        ("star:N", "N processors sharing one hub variable"),
-        ("table:N", "alias of ring:N (the dining table)"),
-        (
-            "alternating:N",
-            "even-N table with alternating orientation (Fig. 5 for N=6)",
-        ),
-        (
-            "hypercube:D",
-            "D-dimensional hypercube: 2^D processors, one variable per edge",
-        ),
-        (
-            "board:PxV",
-            "P processors sharing V variables under common names",
-        ),
-    ] {
-        out.push_str(&format!("  {spec:<16} {desc}\n"));
+    for family in systems::FAMILIES {
+        out.push_str(&format!("  {:<16} {}\n", family.usage(), family.about));
     }
     out
 }
@@ -721,84 +665,16 @@ fn parse_system_args(args: &[String]) -> Result<(SystemGraph, SystemInit), Strin
         }
         return Ok((parsed.graph, init));
     }
-    let graph = parse_system(spec)?;
-    let mut init = SystemInit::uniform(&graph);
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--mark" => {
-                let list = args.get(i + 1).ok_or("--mark needs a processor list")?;
-                let marks = parse_marks(list, graph.processor_count())?;
-                init = SystemInit::with_marked(&graph, &marks);
-                i += 2;
-            }
-            other => return Err(format!("unknown flag {other:?}")),
-        }
+    let graph = systems::parse(spec)?;
+    let flags = Flags::read(&args[1..], &[("--mark", Arg::Value("a processor list"))])?;
+    if let Some(other) = flags.rest().first() {
+        return Err(format!("unknown flag {other:?}"));
     }
+    let init = match flags.value("--mark") {
+        Some(list) => SystemInit::with_marked(&graph, &parse_marks(list, graph.processor_count())?),
+        None => SystemInit::uniform(&graph),
+    };
     Ok((graph, init))
-}
-
-/// Options for `analyze --trace`.
-struct TraceOpts {
-    seed: u64,
-    max_steps: u64,
-    /// `--trace FILE`: replay a `simsym-repro/v1` artifact instead of
-    /// recording a fresh trace.
-    replay: Option<String>,
-}
-
-/// Strips `--trace` (plus optional `--seed N` / `--steps N`) out of the
-/// argument list so the remainder can go through [`parse_system_args`].
-/// A non-flag token right after `--trace` is a repro artifact to replay.
-fn extract_trace_flags(args: &[String]) -> Result<(Option<TraceOpts>, Vec<String>), String> {
-    let mut rest = Vec::with_capacity(args.len());
-    let mut trace = false;
-    let mut seed = 0u64;
-    let mut max_steps = 100_000u64;
-    let mut replay_file = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--trace" => {
-                trace = true;
-                if let Some(next) = args.get(i + 1) {
-                    if !next.starts_with("--") {
-                        replay_file = Some(next.clone());
-                        i += 1;
-                    }
-                }
-                i += 1;
-            }
-            "--seed" => {
-                let v = args.get(i + 1).ok_or("--seed needs a value")?;
-                seed = v.parse().map_err(|_| format!("bad seed {v:?}"))?;
-                i += 2;
-            }
-            "--steps" => {
-                let v = args.get(i + 1).ok_or("--steps needs a value")?;
-                max_steps = v.parse().map_err(|_| format!("bad step count {v:?}"))?;
-                i += 2;
-            }
-            _ => {
-                rest.push(args[i].clone());
-                i += 1;
-            }
-        }
-    }
-    if !trace && (seed != 0 || max_steps != 100_000) {
-        return Err("--seed/--steps only make sense with --trace".into());
-    }
-    if replay_file.is_some() && (seed != 0 || max_steps != 100_000) {
-        return Err("--seed/--steps do not apply when replaying a repro artifact".into());
-    }
-    Ok((
-        trace.then_some(TraceOpts {
-            seed,
-            max_steps,
-            replay: replay_file,
-        }),
-        rest,
-    ))
 }
 
 /// Runs the Q label learner under a seeded random-fair schedule, records a
@@ -807,7 +683,8 @@ fn extract_trace_flags(args: &[String]) -> Result<(Option<TraceOpts>, Vec<String
 fn analyze_trace(
     graph: &SystemGraph,
     init: &SystemInit,
-    opts: &TraceOpts,
+    seed: u64,
+    max_steps: u64,
 ) -> Result<String, String> {
     let labeling = hopcroft_similarity(graph, init, Model::Q);
     let prog = LabelLearner::new(graph, init, &labeling).map_err(|e| e.to_string())?;
@@ -824,14 +701,14 @@ fn analyze_trace(
     };
 
     let mut machine = fresh()?;
-    let mut sched = RandomFair::seeded(opts.seed);
+    let mut sched = RandomFair::seeded(seed);
     let kind = Scheduler::<Machine>::kind(&sched).to_string();
-    let mut recorder = TraceRecorder::new(format!("random_fair(seed={})", opts.seed), kind);
+    let mut recorder = TraceRecorder::new(format!("random_fair(seed={seed})"), kind);
     let mut metrics = MetricsProbe::new();
     let report = engine::run(
         &mut machine,
         &mut sched,
-        opts.max_steps,
+        max_steps,
         &mut [&mut recorder, &mut metrics],
         &mut engine::stop::when(|m: &Machine| {
             m.graph()
@@ -925,56 +802,6 @@ fn parse_marks(list: &str, procs: usize) -> Result<Vec<ProcId>, String> {
             Ok(ProcId::new(idx))
         })
         .collect()
-}
-
-/// Parses a system spec like `ring:5` or `board:3x2`.
-fn parse_system(spec: &str) -> Result<SystemGraph, String> {
-    let (kind, param) = match spec.split_once(':') {
-        Some((k, p)) => (k, Some(p)),
-        None => (spec, None),
-    };
-    let n = |p: Option<&str>, min: usize| -> Result<usize, String> {
-        let p = p.ok_or_else(|| format!("{kind} needs a size, e.g. {kind}:5"))?;
-        let v: usize = p.parse().map_err(|_| format!("bad size {p:?}"))?;
-        if v < min {
-            return Err(format!("{kind} needs size >= {min}"));
-        }
-        Ok(v)
-    };
-    match kind {
-        "figure1" => Ok(topology::figure1()),
-        "figure2" => Ok(topology::figure2()),
-        "figure3" => Ok(topology::figure3()),
-        "ring" | "table" => Ok(topology::uniform_ring(n(param, 2)?)),
-        "marked-ring" => Ok(topology::marked_ring(n(param, 3)?)),
-        "line" => Ok(topology::line(n(param, 2)?)),
-        "star" => Ok(topology::star(n(param, 1)?)),
-        "hypercube" => {
-            let d = n(param, 1)?;
-            if d > 26 {
-                return Err("hypercube dimension must be at most 26".to_owned());
-            }
-            Ok(topology::hypercube(d))
-        }
-        "alternating" => {
-            let v = n(param, 2)?;
-            if v % 2 != 0 {
-                return Err("alternating needs an even size".to_owned());
-            }
-            Ok(topology::philosophers_alternating(v))
-        }
-        "board" => {
-            let p = param.ok_or("board needs PxV, e.g. board:3x2")?;
-            let (a, b) = p.split_once('x').ok_or("board needs PxV, e.g. board:3x2")?;
-            let procs: usize = a.parse().map_err(|_| "bad board size")?;
-            let vars: usize = b.parse().map_err(|_| "bad board size")?;
-            if procs == 0 || vars == 0 {
-                return Err("board sizes must be positive".to_owned());
-            }
-            Ok(topology::shared_board(procs, vars))
-        }
-        other => Err(format!("unknown system {other:?}")),
-    }
 }
 
 fn analyze(graph: &SystemGraph, init: &SystemInit) -> String {
@@ -1114,59 +941,38 @@ struct FaultsOpts {
 }
 
 fn extract_faults_flags(args: &[String]) -> Result<FaultsOpts, String> {
-    let mut family = None;
-    let mut plan = None;
-    let mut opts = FaultsOpts {
-        family: String::new(),
-        plan: String::new(),
-        seed: 0,
-        sweep: 1,
-        steps: None,
-        journal: false,
-        json: false,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--family" => {
-                family = Some(args.get(i + 1).ok_or("--family needs a value")?.clone());
-                i += 2;
-            }
-            "--plan" => {
-                plan = Some(args.get(i + 1).ok_or("--plan needs a value")?.clone());
-                i += 2;
-            }
-            "--seed" => {
-                let v = args.get(i + 1).ok_or("--seed needs a value")?;
-                opts.seed = v.parse().map_err(|_| format!("bad seed {v:?}"))?;
-                i += 2;
-            }
-            "--sweep" => {
-                let v = args.get(i + 1).ok_or("--sweep needs a seed count")?;
-                opts.sweep = v.parse().map_err(|_| format!("bad sweep count {v:?}"))?;
-                if opts.sweep == 0 {
-                    return Err("--sweep needs at least one seed".into());
-                }
-                i += 2;
-            }
-            "--steps" => {
-                let v = args.get(i + 1).ok_or("--steps needs a value")?;
-                opts.steps = Some(v.parse().map_err(|_| format!("bad step count {v:?}"))?);
-                i += 2;
-            }
-            "--journal" => {
-                opts.journal = true;
-                i += 1;
-            }
-            "--json" => {
-                opts.json = true;
-                i += 1;
-            }
-            other => return Err(format!("unknown faults flag {other:?}")),
-        }
+    let f = Flags::read(
+        args,
+        &[
+            ("--family", VALUE),
+            ("--plan", VALUE),
+            ("--seed", VALUE),
+            ("--sweep", Arg::Value("a seed count")),
+            ("--steps", VALUE),
+            ("--journal", Arg::Switch),
+            ("--json", Arg::Switch),
+        ],
+    )?;
+    f.reject_rest("faults")?;
+    let sweep = f.parse("--sweep", "sweep count")?.unwrap_or(1);
+    if sweep == 0 {
+        return Err("--sweep needs at least one seed".into());
     }
-    opts.family = family.ok_or("faults needs --family <ring|table|alternating|hypercube>")?;
-    opts.plan = plan.ok_or("faults needs --plan <crash|lossy|starve>")?;
+    let opts = FaultsOpts {
+        family: f
+            .value("--family")
+            .map(str::to_owned)
+            .ok_or("faults needs --family <ring|table|alternating|hypercube>")?,
+        plan: f
+            .value("--plan")
+            .map(str::to_owned)
+            .ok_or("faults needs --plan <crash|lossy|starve>")?,
+        seed: f.parse("--seed", "seed")?.unwrap_or(0),
+        sweep,
+        steps: f.parse("--steps", "step count")?,
+        journal: f.has("--journal"),
+        json: f.has("--json"),
+    };
     if opts.journal && opts.plan != "crash" {
         return Err("--journal only applies to --plan crash".into());
     }
@@ -1225,32 +1031,13 @@ impl FaultRunRow {
     }
 }
 
-/// The shared-memory system families the fault sweeps run on, each with
-/// p0 structurally marked so a Q selection algorithm exists.
-fn faults_family(family: &str) -> Result<(SystemGraph, SystemInit), String> {
-    let graph = match family {
-        "ring" => topology::uniform_ring(5),
-        "table" => topology::philosophers_table(6),
-        "alternating" => topology::philosophers_alternating(6),
-        "hypercube" => topology::hypercube(3),
-        other => {
-            return Err(format!(
-                "unknown family {other:?} (have: ring | table | alternating | hypercube)"
-            ))
-        }
-    };
-    let init = SystemInit::with_marked(&graph, &[ProcId::new(0)]);
-    Ok((graph, init))
-}
-
-/// The ingredients every shared-memory fault plan needs: the marked
-/// family, its Q selection program, and the unique leader the labeling
-/// designates.
+/// The ingredients every shared-memory fault plan needs, from a marked
+/// family: the system, its Q selection program, and the unique leader
+/// the labeling designates.
 #[allow(clippy::type_complexity)]
 fn faults_selection(
-    family: &str,
+    (graph, init): (SystemGraph, SystemInit),
 ) -> Result<(Arc<SystemGraph>, SystemInit, Arc<dyn Program>, ProcId), String> {
-    let (graph, init) = faults_family(family)?;
     let leader = *hopcroft_similarity(&graph, &init, Model::Q)
         .uniquely_labeled_processors()
         .first()
@@ -1310,7 +1097,7 @@ fn faults(args: &[String]) -> Result<CmdOut, String> {
 /// runs strict, so any selection lost across a reboot is a
 /// `DYN-RECOV-STAB` error. The journal is what makes that bar meetable.
 fn faults_crash(opts: &FaultsOpts) -> Result<Vec<FaultRunRow>, String> {
-    let (graph, init, prog, leader) = faults_selection(&opts.family)?;
+    let (graph, init, prog, leader) = faults_selection(marked_family(&opts.family, None)?)?;
     let procs = graph.processor_count();
     let max_steps = opts.steps.unwrap_or(4_000);
     // Crashes land in the first quarter so recoveries (at most one more
@@ -1371,16 +1158,7 @@ fn faults_crash(opts: &FaultsOpts) -> Result<Vec<FaultRunRow>, String> {
 /// Uniqueness must survive; the election token may legitimately be lost,
 /// in which case nobody is elected.
 fn faults_lossy(opts: &FaultsOpts) -> Result<Vec<FaultRunRow>, String> {
-    let n = match opts.family.as_str() {
-        "ring" => 5,
-        "table" | "alternating" => 6,
-        "hypercube" => 8,
-        other => {
-            return Err(format!(
-                "unknown family {other:?} (have: ring | table | alternating | hypercube)"
-            ))
-        }
-    };
+    let n = command_family(&opts.family)?.1;
     let net = Arc::new(MpNetwork::ring_unidirectional(n));
     // Distinct ids with the maximum away from p0, so the winning token
     // has to travel through faulty channels.
@@ -1419,7 +1197,7 @@ fn faults_lossy(opts: &FaultsOpts) -> Result<Vec<FaultRunRow>, String> {
 /// k-bounded-fair class, selection must still complete — this is the
 /// boundary Theorem 1's bound draws, probed from the inside.
 fn faults_starve(opts: &FaultsOpts) -> Result<Vec<FaultRunRow>, String> {
-    let (graph, init, prog, leader) = faults_selection(&opts.family)?;
+    let (graph, init, prog, leader) = faults_selection(marked_family(&opts.family, None)?)?;
     let procs = graph.processor_count();
     let max_steps = opts.steps.unwrap_or(20_000);
     let config = faults_sweep_config(opts, &[SweepScheduler::RoundRobin], max_steps);
@@ -1569,118 +1347,57 @@ struct SoakOpts {
 }
 
 fn extract_soak_flags(args: &[String]) -> Result<SoakOpts, String> {
-    let mut family = None;
-    let mut opts = SoakOpts {
-        family: String::new(),
-        budget: 200,
-        seed: 0,
-        steps: None,
-        procs: None,
-        journal: false,
-        json: false,
-        repro_out: None,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--family" => {
-                family = Some(args.get(i + 1).ok_or("--family needs a value")?.clone());
-                i += 2;
-            }
-            "--budget" => {
-                let v = args.get(i + 1).ok_or("--budget needs a run count")?;
-                opts.budget = v.parse().map_err(|_| format!("bad budget {v:?}"))?;
-                if opts.budget == 0 {
-                    return Err("--budget needs at least one run".into());
-                }
-                i += 2;
-            }
-            "--seed" => {
-                let v = args.get(i + 1).ok_or("--seed needs a value")?;
-                opts.seed = v.parse().map_err(|_| format!("bad seed {v:?}"))?;
-                i += 2;
-            }
-            "--steps" => {
-                let v = args.get(i + 1).ok_or("--steps needs a value")?;
-                opts.steps = Some(v.parse().map_err(|_| format!("bad step count {v:?}"))?);
-                i += 2;
-            }
-            "--procs" => {
-                let v = args.get(i + 1).ok_or("--procs needs a value")?;
-                opts.procs = Some(
-                    v.parse()
-                        .map_err(|_| format!("bad processor count {v:?}"))?,
-                );
-                i += 2;
-            }
-            "--journal" => {
-                opts.journal = true;
-                i += 1;
-            }
-            "--json" => {
-                opts.json = true;
-                i += 1;
-            }
-            "--repro-out" => {
-                opts.repro_out = Some(args.get(i + 1).ok_or("--repro-out needs a file")?.clone());
-                i += 2;
-            }
-            other => return Err(format!("unknown soak flag {other:?}")),
-        }
+    let f = Flags::read(
+        args,
+        &[
+            ("--family", VALUE),
+            ("--budget", Arg::Value("a run count")),
+            ("--seed", VALUE),
+            ("--steps", VALUE),
+            ("--procs", VALUE),
+            ("--journal", Arg::Switch),
+            ("--json", Arg::Switch),
+            ("--repro-out", Arg::Value("a file")),
+        ],
+    )?;
+    f.reject_rest("soak")?;
+    let budget = f.parse("--budget", "budget")?.unwrap_or(200);
+    if budget == 0 {
+        return Err("--budget needs at least one run".into());
     }
-    opts.family = family.ok_or("soak needs --family <ring|table|alternating|hypercube>")?;
-    Ok(opts)
-}
-
-/// The default processor count per soak family — the same sizes the
-/// `faults` sweeps use. Also validates the family name.
-fn soak_default_procs(family: &str) -> Result<usize, String> {
-    match family {
-        "ring" => Ok(5),
-        "table" | "alternating" => Ok(6),
-        "hypercube" => Ok(8),
-        other => Err(format!(
-            "unknown family {other:?} (have: ring | table | alternating | hypercube)"
-        )),
-    }
+    Ok(SoakOpts {
+        family: f
+            .value("--family")
+            .map(str::to_owned)
+            .ok_or("soak needs --family <ring|table|alternating|hypercube>")?,
+        budget,
+        seed: f.parse("--seed", "seed")?.unwrap_or(0),
+        steps: f.parse("--steps", "step count")?,
+        procs: f.parse("--procs", "processor count")?,
+        journal: f.has("--journal"),
+        json: f.has("--json"),
+        repro_out: f.value("--repro-out").map(str::to_owned),
+    })
 }
 
 /// Builds one soak family at an explicit processor count (the shrinker
-/// varies it), with p0 structurally marked so a Q selection algorithm
-/// exists. Sizes the family cannot take (too small, odd alternating) are
-/// plain errors — the shrink oracle treats them as non-reproducing
-/// candidates.
+/// varies it), with p0 structurally marked. Soak keeps a floor of its
+/// own above the family table's: at least 3 processors on a ring or
+/// table, 4 on an alternating table. Sizes below it, or ones the family
+/// cannot take, are plain errors — the shrink oracle treats them as
+/// non-reproducing candidates.
 fn soak_family(family: &str, procs: usize) -> Result<(SystemGraph, SystemInit), String> {
-    let graph = match family {
-        "ring" => {
-            if procs < 3 {
-                return Err(format!("ring needs at least 3 processors (got {procs})"));
-            }
-            topology::uniform_ring(procs)
-        }
-        "table" => {
-            if procs < 3 {
-                return Err(format!("table needs at least 3 processors (got {procs})"));
-            }
-            topology::philosophers_table(procs)
-        }
-        "alternating" => {
-            if procs < 4 || !procs.is_multiple_of(2) {
-                return Err(format!(
-                    "alternating needs an even size of at least 4 (got {procs})"
-                ));
-            }
-            topology::philosophers_alternating(procs)
-        }
-        "hypercube" => topology::hypercube(hypercube_dim(procs)?),
-        other => {
-            return Err(format!(
-                "unknown family {other:?} (have: ring | table | alternating | hypercube)"
-            ))
-        }
+    let floor = match family {
+        "ring" | "table" => 3,
+        "alternating" => 4,
+        _ => 0,
     };
-    let init = SystemInit::with_marked(&graph, &[ProcId::new(0)]);
-    Ok((graph, init))
+    if procs < floor {
+        return Err(format!(
+            "{family} needs at least {floor} processors (got {procs})"
+        ));
+    }
+    marked_family(family, Some(procs))
 }
 
 /// One deterministic replay: build `family` at `procs` processors, wrap
@@ -1778,8 +1495,7 @@ struct SoakOutcome {
 /// recorded verdict exits nonzero.
 fn soak(args: &[String]) -> Result<CmdOut, String> {
     let opts = extract_soak_flags(args)?;
-    let default_procs = soak_default_procs(&opts.family)?;
-    let procs = opts.procs.unwrap_or(default_procs);
+    let procs = opts.procs.unwrap_or(command_family(&opts.family)?.1);
     let mut diagnostics = Vec::new();
 
     // Degenerate plans: with one processor (p0 is implicitly protected so
@@ -1806,16 +1522,7 @@ fn soak(args: &[String]) -> Result<CmdOut, String> {
         return soak_render(&opts, &outcome);
     }
 
-    let (graph, init) = soak_family(&opts.family, procs)?;
-    let leader = *hopcroft_similarity(&graph, &init, Model::Q)
-        .uniquely_labeled_processors()
-        .first()
-        .ok_or("marked family has no uniquely labeled processor")?;
-    let prog = selection_program_q(&graph, &init)
-        .map_err(|e| e.to_string())?
-        .ok_or("marked family admits no selection algorithm in Q")?;
-    let graph = Arc::new(graph);
-    let prog: Arc<dyn Program> = Arc::new(prog);
+    let (graph, init, prog, leader) = faults_selection(soak_family(&opts.family, procs)?)?;
     // Protect one arbitrary non-leader so a survivor always exists; the
     // leader itself stays crashable — Stability must be attackable, or
     // the soak proves nothing.
@@ -2041,31 +1748,20 @@ struct BenchOpts {
 }
 
 fn extract_bench_flags(args: &[String]) -> Result<BenchOpts, String> {
-    let mut opts = BenchOpts {
-        json: false,
-        quick: false,
-        against: None,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--json" => {
-                opts.json = true;
-                i += 1;
-            }
-            "--quick" => {
-                opts.quick = true;
-                i += 1;
-            }
-            "--against" => {
-                let path = args.get(i + 1).ok_or("--against needs a file")?;
-                opts.against = Some(path.clone());
-                i += 2;
-            }
-            other => return Err(format!("unknown bench flag {other:?}")),
-        }
-    }
-    Ok(opts)
+    let f = Flags::read(
+        args,
+        &[
+            ("--json", Arg::Switch),
+            ("--quick", Arg::Switch),
+            ("--against", Arg::Value("a file")),
+        ],
+    )?;
+    f.reject_rest("bench")?;
+    Ok(BenchOpts {
+        json: f.has("--json"),
+        quick: f.has("--quick"),
+        against: f.value("--against").map(str::to_owned),
+    })
 }
 
 /// One steps/second measurement: a fixed round-robin step budget on a
@@ -2377,14 +2073,7 @@ fn bench(args: &[String]) -> Result<CmdOut, String> {
     ] {
         let init = SystemInit::uniform(&graph);
         let graph = Arc::new(graph);
-        let program: Arc<dyn Program> =
-            match selection_program_q(&graph, &init).map_err(|e| e.to_string())? {
-                Some(select) => Arc::new(select),
-                None => {
-                    let theta = hopcroft_similarity(&graph, &init, Model::Q);
-                    Arc::new(LabelLearner::new(&graph, &init, &theta).map_err(|e| e.to_string())?)
-                }
-            };
+        let program = selection_or_learner(&graph, &init)?;
         let machine = Machine::new(Arc::clone(&graph), InstructionSet::Q, program, &init)
             .map_err(|e| e.to_string())?;
         for mode in Reduction::ALL {
@@ -2776,64 +2465,38 @@ impl JobRunner for DispatchRunner {
     }
 }
 
-/// Pulls one `--flag VALUE` pair out of `args`, returning the value and
-/// the remaining arguments.
-fn extract_flag_value(
-    args: &[String],
-    flag: &str,
-) -> Result<(Option<String>, Vec<String>), String> {
-    let mut value = None;
-    let mut rest = Vec::with_capacity(args.len());
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == flag {
-            let v = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
-            if value.is_some() {
-                return Err(format!("{flag} given twice"));
-            }
-            value = Some(v.clone());
-        } else {
-            rest.push(a.clone());
-        }
-    }
-    Ok((value, rest))
-}
-
-fn parse_count(flag: &str, value: &str) -> Result<usize, String> {
-    value
-        .parse::<usize>()
-        .ok()
-        .filter(|&n| n > 0)
-        .ok_or_else(|| format!("{flag} needs a positive integer (got {value:?})"))
-}
-
 /// `simsym serve [--addr HOST:PORT] [--workers N] [--queue N]
 /// [--state-dir DIR] [--default-deadline-ms N]` — runs the farm until a
 /// client posts `/shutdown`, then prints the lifetime summary. The
 /// banner (and the journal-recovery report) goes to stderr so stdout
 /// stays a clean document channel.
 fn serve(args: &[String]) -> Result<CmdOut, String> {
-    let (addr, rest) = extract_flag_value(args, "--addr")?;
-    let (workers, rest) = extract_flag_value(&rest, "--workers")?;
-    let (queue, rest) = extract_flag_value(&rest, "--queue")?;
-    let (state_dir, rest) = extract_flag_value(&rest, "--state-dir")?;
-    let (deadline, rest) = extract_flag_value(&rest, "--default-deadline-ms")?;
-    if let Some(extra) = rest.first() {
+    let f = Flags::read(
+        args,
+        &[
+            ("--addr", VALUE),
+            ("--workers", VALUE),
+            ("--queue", VALUE),
+            ("--state-dir", VALUE),
+            ("--default-deadline-ms", VALUE),
+        ],
+    )?;
+    if let Some(extra) = f.rest().first() {
         return Err(format!("serve does not take {extra:?}"));
     }
     let mut config = ServeConfig::default();
-    if let Some(addr) = addr {
+    if let Some(addr) = f.value("--addr").map(str::to_owned) {
         config.addr = addr;
     }
-    if let Some(w) = workers {
-        config.workers = parse_count("--workers", &w)?;
+    if let Some(w) = f.count("--workers")? {
+        config.workers = w;
     }
-    if let Some(q) = queue {
-        config.queue_capacity = parse_count("--queue", &q)?;
+    if let Some(q) = f.count("--queue")? {
+        config.queue_capacity = q;
     }
-    config.state_dir = state_dir;
-    if let Some(d) = deadline {
-        config.default_deadline_ms = Some(parse_count("--default-deadline-ms", &d)? as u64);
+    config.state_dir = f.value("--state-dir").map(str::to_owned);
+    if let Some(d) = f.count("--default-deadline-ms")? {
+        config.default_deadline_ms = Some(d as u64);
     }
     let workers = config.workers;
     let journaled = config.state_dir.is_some();
@@ -2871,19 +2534,23 @@ fn serve(args: &[String]) -> Result<CmdOut, String> {
 /// that stays out of the job's cache key). Exits nonzero when the
 /// job's run failed.
 fn submit(args: &[String]) -> Result<CmdOut, String> {
-    let (addr, rest) = extract_flag_value(args, "--addr")?;
-    let (deadline, rest) = extract_flag_value(&rest, "--deadline-ms")?;
-    let addr = addr.unwrap_or_else(|| ServeConfig::default().addr);
-    let mut watch = false;
-    let mut source = None;
-    for a in &rest {
-        match a.as_str() {
-            "--watch" => watch = true,
-            _ if source.is_none() => source = Some(a.clone()),
-            _ => return Err(format!("submit takes one job spec (extra: {a:?})")),
-        }
-    }
-    let source = source.ok_or("submit needs a job spec: a file, '-' for stdin, or inline JSON")?;
+    let f = Flags::read(
+        args,
+        &[
+            ("--addr", VALUE),
+            ("--deadline-ms", VALUE),
+            ("--watch", Arg::Switch),
+        ],
+    )?;
+    let addr = f
+        .value("--addr")
+        .map(str::to_owned)
+        .unwrap_or_else(|| ServeConfig::default().addr);
+    let source = match f.rest() {
+        [] => return Err("submit needs a job spec: a file, '-' for stdin, or inline JSON".into()),
+        [source] => source.clone(),
+        [_, extra, ..] => return Err(format!("submit takes one job spec (extra: {extra:?})")),
+    };
     let spec_text = if source == "-" {
         let mut buf = String::new();
         std::io::Read::read_to_string(&mut std::io::stdin(), &mut buf)
@@ -2895,9 +2562,8 @@ fn submit(args: &[String]) -> Result<CmdOut, String> {
         std::fs::read_to_string(&source)
             .map_err(|e| format!("cannot read job spec {source:?}: {e}"))?
     };
-    let spec_text = match deadline {
-        Some(d) => {
-            let ms = parse_count("--deadline-ms", &d)?;
+    let spec_text = match f.count("--deadline-ms")? {
+        Some(ms) => {
             let ms = i64::try_from(ms).map_err(|_| "--deadline-ms is out of range".to_owned())?;
             simsym::serve::spec::set_field(
                 &spec_text,
@@ -2912,7 +2578,7 @@ fn submit(args: &[String]) -> Result<CmdOut, String> {
         "{{\"schema\": \"simsym-serve/v1\", \"job\": {}, \"cache\": \"{}\"}}\n",
         submitted.job, submitted.cache
     );
-    if watch {
+    if f.has("--watch") {
         serve_client::watch_events(&addr, submitted.job, |line| {
             text.push_str(line);
             text.push('\n');
@@ -2928,11 +2594,14 @@ fn submit(args: &[String]) -> Result<CmdOut, String> {
 
 /// `simsym shutdown [--addr HOST:PORT]` — asks the farm to drain.
 fn shutdown(args: &[String]) -> Result<CmdOut, String> {
-    let (addr, rest) = extract_flag_value(args, "--addr")?;
-    if let Some(extra) = rest.first() {
+    let f = Flags::read(args, &[("--addr", VALUE)])?;
+    if let Some(extra) = f.rest().first() {
         return Err(format!("shutdown does not take {extra:?}"));
     }
-    let addr = addr.unwrap_or_else(|| ServeConfig::default().addr);
+    let addr = f
+        .value("--addr")
+        .map(str::to_owned)
+        .unwrap_or_else(|| ServeConfig::default().addr);
     serve_client::shutdown(&addr).and_then(ok)
 }
 
@@ -2940,9 +2609,12 @@ fn shutdown(args: &[String]) -> Result<CmdOut, String> {
 /// dequeues it while queued, or raises its cooperative cancellation
 /// token so the worker stops at the next sweep-job boundary.
 fn cancel(args: &[String]) -> Result<CmdOut, String> {
-    let (addr, rest) = extract_flag_value(args, "--addr")?;
-    let addr = addr.unwrap_or_else(|| ServeConfig::default().addr);
-    let [id] = rest.as_slice() else {
+    let f = Flags::read(args, &[("--addr", VALUE)])?;
+    let addr = f
+        .value("--addr")
+        .map(str::to_owned)
+        .unwrap_or_else(|| ServeConfig::default().addr);
+    let [id] = f.rest() else {
         return Err("cancel takes exactly one job id".into());
     };
     let id: u64 = id
@@ -2956,11 +2628,11 @@ fn cancel(args: &[String]) -> Result<CmdOut, String> {
 /// argv the spec produces and then panics on purpose, proving a worker
 /// panic is caught, retried once, and reported — never fatal to the farm.
 fn panic_fixture(args: &[String]) -> Result<CmdOut, String> {
-    let (seed, rest) = extract_flag_value(args, "--seed")?;
-    if let Some(extra) = rest.iter().find(|a| a.as_str() != "--json") {
+    let f = Flags::read(args, &[("--seed", VALUE), ("--json", Arg::Switch)])?;
+    if let Some(extra) = f.rest().first() {
         return Err(format!("panic does not take {extra:?}"));
     }
-    let seed = seed.unwrap_or_else(|| "0".to_owned());
+    let seed = f.value("--seed").unwrap_or("0");
     panic!("panic fixture: deliberate panic (seed {seed})");
 }
 
@@ -3196,7 +2868,7 @@ mod tests {
 
     #[test]
     fn board_parses() {
-        let g = parse_system("board:3x2").unwrap();
+        let g = systems::parse("board:3x2").unwrap();
         assert_eq!(g.processor_count(), 3);
         assert_eq!(g.variable_count(), 2);
     }
@@ -3637,7 +3309,7 @@ mod tests {
     fn hypercube_parses_and_verifies_from_the_cli() {
         // The family was only reachable through the library before: no
         // CLI path spelled "hypercube". Every entry point takes it now.
-        let g = parse_system("hypercube:3").unwrap();
+        let g = systems::parse("hypercube:3").unwrap();
         assert_eq!(g.processor_count(), 8);
         assert_eq!(g.variable_count(), 12);
         assert!(call(&["analyze", "hypercube:3"])
@@ -3686,6 +3358,83 @@ mod tests {
         assert!(call(&["verify", "--family", "alternating", "--procs", "5"])
             .unwrap_err()
             .contains("even"));
+    }
+
+    #[test]
+    fn undersized_families_are_usage_errors_not_panics() {
+        for (family, procs) in [
+            ("ring", "0"),
+            ("ring", "1"),
+            ("table", "0"),
+            ("table", "1"),
+            ("alternating", "0"),
+        ] {
+            let err = call(&["verify", "--family", family, "--procs", procs]).unwrap_err();
+            assert_eq!(
+                err,
+                format!("{family} needs at least 2 processors (got {procs})")
+            );
+        }
+        // Served, the same size is a failed document carrying the usage
+        // error, not a caught worker panic.
+        let (addr, handle) = boot_farm(1, 8);
+        let job = farm::submit_job(
+            &addr,
+            "{\"kind\":\"verify\",\"family\":\"ring\",\"procs\":1}",
+        )
+        .expect("submit");
+        let result = farm::fetch_result(&addr, job.job).expect("result");
+        assert!(result.failed);
+        assert!(
+            !result.document.contains("SERVE-JOB-PANIC"),
+            "{}",
+            result.document
+        );
+        assert!(
+            result
+                .document
+                .contains("ring needs at least 2 processors (got 1)"),
+            "{}",
+            result.document
+        );
+        farm::shutdown(&addr).expect("shutdown");
+        let summary = handle.join().expect("farm thread").expect("farm summary");
+        assert!(summary.text.contains("completed 1"), "{}", summary.text);
+    }
+
+    #[test]
+    fn repeated_flags_are_rejected_by_every_command() {
+        for (args, flag) in [
+            (
+                &["verify", "--family", "ring", "--depth", "3", "--depth", "5"][..],
+                "--depth",
+            ),
+            (
+                &["analyze", "ring:4", "--trace", "--seed", "1", "--seed", "2"],
+                "--seed",
+            ),
+            (
+                &["analyze", "ring:4", "--mark", "p0", "--mark", "p1"],
+                "--mark",
+            ),
+            (&["lint", "ring:3", "--json", "--json"], "--json"),
+            (
+                &[
+                    "faults", "--family", "ring", "--plan", "crash", "--plan", "lossy",
+                ],
+                "--plan",
+            ),
+            (
+                &["soak", "--family", "ring", "--budget", "2", "--budget", "4"],
+                "--budget",
+            ),
+            (&["bench", "--quick", "--quick"], "--quick"),
+            (&["serve", "--workers", "1", "--workers", "2"], "--workers"),
+            (&["submit", "--watch", "--watch", "{}"], "--watch"),
+        ] {
+            let err = call(args).unwrap_err();
+            assert_eq!(err, format!("{flag} given twice"), "{args:?}");
+        }
     }
 
     #[test]
@@ -4025,15 +3774,23 @@ mod tests {
             .collect();
         // Open an event stream for the last job *before* asking for the
         // drain, so the farm cannot fully exit until we have watched the
-        // job finish.
+        // job finish. The stream is open once its first event (the
+        // replayed `queued`) arrives; only then is the drain requested.
         let watch_addr = addr.clone();
         let last = jobs[2].job;
+        let (opened, stream_open) = std::sync::mpsc::channel();
         let watcher = std::thread::spawn(move || {
             let mut events = Vec::new();
-            farm::watch_events(&watch_addr, last, |line| events.push(line.to_owned()))
-                .expect("events");
+            farm::watch_events(&watch_addr, last, |line| {
+                if events.is_empty() {
+                    let _ = opened.send(());
+                }
+                events.push(line.to_owned());
+            })
+            .expect("events");
             events
         });
+        stream_open.recv().expect("event stream opened");
         let ack = farm::shutdown(&addr).expect("shutdown");
         assert!(ack.contains("draining"), "{ack}");
         // New work is turned away while the queue drains. The exact

@@ -81,6 +81,9 @@ pub use simsym_philo as philo;
 pub use simsym_serve as serve;
 pub use simsym_vm as vm;
 
+pub mod flags;
+pub mod systems;
+
 /// Crate version of the facade, for diagnostics.
 pub const VERSION: &str = env!("CARGO_PKG_VERSION");
 
